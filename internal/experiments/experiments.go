@@ -513,7 +513,7 @@ var dynamicPairs = [][2]string{{"WC", "WC.churn"}, {"CG.D", "CG.shift"}}
 // exactly the regime where one-shot huge-page decisions cannot be
 // wrong. The event-timeline workloads reintroduce the dynamics §3.2 of
 // the paper says dominate real THP behavior — WC.churn tears down and
-// reallocates a machine-filling arena (buddy fragmentation starves 2 MB
+// reallocates a machine-filling arena (fragmentation starves 2 MB
 // faults into 4 KB fallbacks), CG.shift collapses and relaxes a hot set
 // after placement decisions have been made — and the section renders
 // each policy's improvement against the static counterpart it mutates.
@@ -563,6 +563,9 @@ func dynamicDefinition() definition {
 			b.WriteString("  4 KB; CG.shift collapses the gather vector's hot set onto 1% of the\n")
 			b.WriteString("  region after placement has settled, then relaxes it again. Negative\n")
 			b.WriteString("  deltas are gains the static suite reports that do not survive churn.\n")
+			fmt.Fprintf(&b, "  memory model %d: block-granular physical memory (DESIGN.md §2.2),\n", sim.ModelVersion)
+			b.WriteString("  held to the frame-exact buddy model's results by a pre-registered\n")
+			b.WriteString("  gate (internal/sim TestDynamicModelGate).\n")
 			return b.String()
 		},
 	}

@@ -49,7 +49,7 @@ func (s PageSize) Valid() bool {
 var ErrOutOfMemory = errors.New("mem: node out of memory")
 
 // ErrFragmented is returned when a node has enough free bytes but no
-// contiguous free block of the requested size — the buddy-allocator
+// wholly free aligned block of the requested size — the fragmentation
 // failure mode that makes huge-page allocation fail under churn even on
 // a half-empty node.
 var ErrFragmented = errors.New("mem: node free memory too fragmented")
@@ -111,8 +111,8 @@ type System struct {
 	Machine *topo.Machine
 	Params  LatencyParams
 
-	nodes []*buddyNode // per-node buddy free lists (see buddy.go)
-	rng   uint64       // LCG state for Free's live-block pick
+	nodes []*blockNode // per-node block occupancy (see block.go)
+	rng   uint64       // LCG state for Free's victim picks
 
 	epochReq []float64 // requests recorded this epoch per node
 	totalReq []float64 // requests recorded over the whole run per node
@@ -125,7 +125,7 @@ func NewSystem(m *topo.Machine, p LatencyParams) *System {
 	s := &System{
 		Machine:  m,
 		Params:   p,
-		nodes:    make([]*buddyNode, m.Nodes),
+		nodes:    make([]*blockNode, m.Nodes),
 		rng:      0x9E3779B97F4A7C15,
 		epochReq: make([]float64, m.Nodes),
 		totalReq: make([]float64, m.Nodes),
@@ -133,7 +133,7 @@ func NewSystem(m *topo.Machine, p LatencyParams) *System {
 		util:     make([]float64, m.Nodes),
 	}
 	for i := range s.nodes {
-		s.nodes[i] = newBuddyNode(m.DRAMPerNode)
+		s.nodes[i] = newBlockNode(m.DRAMPerNode)
 	}
 	base := p.FixedCycles + p.QueueCycles
 	for i := range s.latency {
@@ -144,145 +144,60 @@ func NewSystem(m *topo.Machine, p LatencyParams) *System {
 
 // Allocate reserves one frame of size bytes on node n, failing with
 // ErrOutOfMemory when the node's DRAM is exhausted and with ErrFragmented
-// when free bytes suffice but no contiguous block of the requested order
-// exists. Allocation never falls back to another node or a smaller page
-// size here; fallback is an OS policy decision made by the caller.
+// when free bytes suffice but no aligned block of the requested size is
+// wholly free. Allocation never falls back to another node or a smaller
+// page size here; fallback is an OS policy decision made by the caller.
 func (s *System) Allocate(n topo.NodeID, size PageSize) error {
 	if !size.Valid() {
 		return fmt.Errorf("mem: invalid page size %d", uint64(size))
 	}
-	b := s.nodes[n]
-	if uint64(size) > b.freeBytes {
+	if s.AllocateRun(n, size, 1) == 1 {
+		return nil
+	}
+	if uint64(size) > s.nodes[n].freeBytes {
 		return ErrOutOfMemory
 	}
-	o := orderOf(size)
-	frame, ok := b.alloc(o)
-	if !ok {
-		return ErrFragmented
-	}
-	c := sizeClass(size)
-	b.live[c] = append(b.live[c], uint32(frame>>uint(o)))
-	return nil
+	return ErrFragmented
 }
 
 // AllocateRun reserves count frames of size bytes on node n, exactly as
-// count sequential Allocate calls would — each iteration re-checks free
-// bytes, takes one block from the buddy and registers it live — stopping
-// at the first failure and returning how many frames were reserved. The
-// batched allocation-fault path (vm.ApplyAllocFault4KRun) commits a whole
-// span of first-touches through one call here; because the per-frame
-// state transitions are the per-call sequence replayed, the buddy is left
-// byte-identical to the per-page path.
+// count sequential Allocate calls would, stopping at the first failure
+// and returning how many frames were reserved.
 func (s *System) AllocateRun(n topo.NodeID, size PageSize, count int) int {
 	if !size.Valid() {
 		return 0
 	}
-	b := s.nodes[n]
-	o := orderOf(size)
-	c := sizeClass(size)
-	done := 0
-	for done < count {
-		if uint64(size) > b.freeBytes {
-			break
-		}
-		frame, ok := b.alloc(o)
-		if !ok {
-			break
-		}
-		b.live[c] = append(b.live[c], uint32(frame>>uint(o)))
-		done++
-	}
-	return done
+	return s.nodes[n].alloc(size, count)
 }
 
-// Free releases one live frame of size bytes on node n, coalescing it
-// with free buddies. The caller identifies frames by (node, size) only,
-// so Free picks the released block pseudo-randomly among the node's live
-// blocks of that size, modeling uncorrelated allocation lifetimes (the
-// source of physical fragmentation). Freeing with no live block of the
-// size returns ErrOverFree.
+// Free releases one live frame of size bytes on node n, picked uniformly
+// among the node's live frames of that size: callers identify frames by
+// (node, size) only. With no live frame of the size it returns
+// ErrOverFree.
 func (s *System) Free(n topo.NodeID, size PageSize) error {
-	if !size.Valid() {
-		return fmt.Errorf("mem: invalid page size %d", uint64(size))
-	}
-	b := s.nodes[n]
-	c := sizeClass(size)
-	l := b.live[c]
-	if len(l) == 0 {
-		return fmt.Errorf("%w: no live %s frame on node %d", ErrOverFree, size, n)
-	}
-	s.rng = s.rng*6364136223846793005 + 1442695040888963407
-	i := int((s.rng >> 33) % uint64(len(l)))
-	idx := uint64(l[i])
-	l[i] = l[len(l)-1]
-	b.live[c] = l[:len(l)-1]
-	b.release(orderOf(size), idx<<uint(orderOf(size)))
-	return nil
+	return s.FreeRun(n, size, 1)
 }
 
-// FreeRun releases count live frames of size bytes on node n, exactly
-// as count sequential Free calls would: the same LCG draws pick the
-// same victims from the same evolving live list, and each frame
-// coalesces before the next draw. Replaying the sequence in one tight
-// loop matters because the random pick makes every iteration a cache
-// miss into a multi-megabyte live list — hoisted locals and a call-free
-// loop let those misses overlap instead of serializing through the call
-// boundary (event-timeline unmaps free hundreds of thousands of frames
-// per event). Stops at the first over-free, returning ErrOverFree with
-// the allocator state exactly as the failing per-call sequence leaves
-// it.
+// FreeRun releases count live frames of size bytes on node n with the
+// outcome distribution of count sequential Free calls, drawn at once.
+// When fewer than count frames are live it frees them all and returns
+// ErrOverFree.
 func (s *System) FreeRun(n topo.NodeID, size PageSize, count int) error {
 	if !size.Valid() {
 		return fmt.Errorf("mem: invalid page size %d", uint64(size))
 	}
 	b := s.nodes[n]
-	c := sizeClass(size)
-	o := orderOf(size)
-	rng := s.rng
-	l := b.live[c]
-	// Victim extraction (random live-list swaps) and block release
-	// (buddy-bitmap coalescing) touch disjoint state, so the interleaved
-	// per-call sequence can be split into two tight loops per batch with
-	// bit-identical results. Each loop is then a run of independent
-	// random-address accesses — the extraction loop's next address
-	// depends only on the LCG and the release loop's only on the staged
-	// victim — so the cache misses overlap instead of serializing
-	// extract→release→extract.
-	var victims [256]uint32
-	for count > 0 {
-		batch := count
-		if batch > len(victims) {
-			batch = len(victims)
-		}
-		if batch > len(l) {
-			batch = len(l)
-		}
-		for k := 0; k < batch; k++ {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			i := int((rng >> 33) % uint64(len(l)))
-			victims[k] = l[i]
-			l[i] = l[len(l)-1]
-			l = l[:len(l)-1]
-		}
-		for k := 0; k < batch; k++ {
-			b.release(o, uint64(victims[k])<<uint(o))
-		}
-		count -= batch
-		if count > 0 && len(l) == 0 {
-			s.rng = rng
-			b.live[c] = l
-			return fmt.Errorf("%w: no live %s frame on node %d", ErrOverFree, size, n)
-		}
+	live := b.liveFrames(size)
+	b.release(size, min(count, live), &s.rng)
+	if count > live {
+		return fmt.Errorf("%w: no live %s frame on node %d", ErrOverFree, size, n)
 	}
-	s.rng = rng
-	b.live[c] = l
 	return nil
 }
 
 // Allocated reports the bytes in use on node n.
 func (s *System) Allocated(n topo.NodeID) uint64 {
-	b := s.nodes[n]
-	return b.frames<<frameShift - b.freeBytes
+	return s.Machine.DRAMPerNode - s.nodes[n].freeBytes
 }
 
 // Free bytes remaining on node n (contiguity not implied; see
@@ -292,15 +207,20 @@ func (s *System) FreeBytes(n topo.NodeID) uint64 {
 }
 
 // FreeContiguous reports whether node n could currently satisfy one
-// allocation of the given size — i.e. whether a free block of at least
-// that order exists. FreeBytes >= size with FreeContiguous false is the
-// fragmentation signature.
+// allocation of the given size — i.e. whether an aligned block of that
+// size is wholly free. FreeBytes >= size with FreeContiguous false is
+// the fragmentation signature.
 func (s *System) FreeContiguous(n topo.NodeID, size PageSize) bool {
-	if !size.Valid() {
-		return false
-	}
-	return s.nodes[n].contiguousFree(orderOf(size))
+	b := s.nodes[n]
+	return size == Size4K && b.freeBytes > 0 || size == Size2M && b.free2M > 0 || size == Size1G && b.free1G > 0
 }
+
+// Free2MBlocks reports how many aligned 2 MB blocks of node n are wholly free.
+func (s *System) Free2MBlocks(n topo.NodeID) int { return s.nodes[n].free2M }
+
+// Free1GBlocks reports how many aligned 1 GB blocks of node n are
+// wholly free.
+func (s *System) Free1GBlocks(n topo.NodeID) int { return s.nodes[n].free1G }
 
 // Record charges count DRAM requests to node n's controller in the current
 // epoch. The simulation engine calls this with sampled request counts

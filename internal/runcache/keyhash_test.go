@@ -110,3 +110,29 @@ type unsupportedKind struct{ k reflect.Kind }
 func (e *unsupportedKind) Error() string {
 	return "no perturbation for kind " + e.k.String() + "; teach perturbField about it"
 }
+
+// TestModelVersionChangesEveryKey pins that sim.ModelVersion reaches
+// every content address: for the default config and each single-field
+// perturbation of it, a different model version yields a different
+// config hash, so a store written by another model never answers.
+func TestModelVersionChangesEveryKey(t *testing.T) {
+	base := sim.DefaultConfig()
+	cfgs := []sim.Config{base}
+	for _, path := range leafFieldPaths(reflect.TypeOf(base), "") {
+		cfg := base
+		if err := perturbField(fieldByPath(reflect.ValueOf(&cfg).Elem(), path)); err != nil {
+			t.Fatalf("field %s: %v", path, err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	for i, cfg := range cfgs {
+		if hashConfig(cfg) != hashConfigVersion(cfg, sim.ModelVersion) {
+			t.Fatal("hashConfig does not hash the current sim.ModelVersion")
+		}
+		for _, v := range []int{sim.ModelVersion - 1, sim.ModelVersion + 1} {
+			if hashConfigVersion(cfg, v) == hashConfig(cfg) {
+				t.Errorf("config %d: model version %d gives the same key as version %d", i, v, sim.ModelVersion)
+			}
+		}
+	}
+}

@@ -64,19 +64,24 @@ func KeyOf(req runner.Request) Key {
 
 // hashConfig fingerprints an engine configuration field by field (FNV-1a
 // over an explicit serialization, so the hash is stable across processes
-// and Go versions, unlike hashing the in-memory representation).
-// Config.Workers, Config.Pool and Config.FullRecompute are deliberately
-// absent: the engine's results are byte-identical for any worker count
-// and with memoization disabled (both enforced by test), so cells
-// differing only in those knobs must share one cache entry. Every
-// other field — including Mode: a cached sampled result must never
-// answer an analytic cell — is covered, and
+// and Go versions, unlike hashing the in-memory representation), prefixed
+// with sim.ModelVersion so a persistent store written by an earlier
+// model never answers a cell the current model would simulate
+// differently. Config.Workers, Config.Pool and Config.FullRecompute are
+// deliberately absent: the engine's results are byte-identical for any
+// worker count and with memoization disabled (both enforced by test),
+// so cells differing only in those knobs must share one cache entry.
+// Every other field — including Mode: a cached sampled result must
+// never answer an analytic cell — is covered, and
 // TestKeyCoversEveryConfigField enforces exhaustiveness by reflection,
 // so adding a sim.Config field without extending this serialization (or
 // the explicit exclusion list) fails the build's tests.
-func hashConfig(cfg sim.Config) uint64 {
+func hashConfig(cfg sim.Config) uint64 { return hashConfigVersion(cfg, sim.ModelVersion) }
+
+func hashConfigVersion(cfg sim.Config, modelVersion int) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%g|%d|%d|%g|%d|%g|%g|%d|%g|%g|%g|%d",
+	fmt.Fprintf(h, "m%d|%d|%g|%d|%d|%g|%d|%g|%g|%d|%g|%g|%g|%d",
+		modelVersion,
 		cfg.Mode, cfg.EpochSeconds, cfg.SteadySamples, cfg.AnalyticCensus,
 		cfg.AllocRoundCycles, cfg.MaxAllocPerEpoch, cfg.MaxSimSeconds,
 		cfg.WorkScale, cfg.Seed,

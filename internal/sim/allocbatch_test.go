@@ -4,7 +4,7 @@ package sim_test
 // Committing a span of same-(chunk, node, size) first-touches in one
 // batched operation is a pure evaluation-order optimization: the float
 // accumulators advance by the same per-touch addition sequences, the
-// buddy allocator sees the same per-frame transaction sequence, and the
+// physical allocator sees the same transaction sequence, and the
 // integer counters sum — so Config.PerPageAlloc (which forces every
 // touch through the original vm.Access path) must change nothing.
 // Result is comparable and compared with ==; a tolerance would hide the

@@ -6,8 +6,8 @@ package sim
 // policy every region is giant-mapped before the first touch, so each
 // span classifies as a hit run and the phase must run entirely on warm
 // scratch — no heap allocation per epoch. 4K/2M faulting policies
-// genuinely allocate (buddy bitmaps and live lists grow with the
-// footprint), which is why the giant-mapped pipeline is the one that
+// genuinely allocate (the 2M live lists and the vm's per-chunk state
+// grow with the footprint), which is why the giant-mapped pipeline is the one that
 // can pin a hard zero.
 
 import (

@@ -14,7 +14,7 @@ import (
 
 // churnTimeline shrinks a shared buffer, then allocates a fresh region
 // into the freed physical memory: the alloc-churn path (region-table
-// growth, lazy faulting, buddy reuse of scattered frames).
+// growth, lazy faulting, allocator reuse of scattered frames).
 func churnTimeline() workloads.Spec {
 	return workloads.Spec{
 		Name: "churn.eq",

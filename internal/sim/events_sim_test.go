@@ -129,3 +129,29 @@ func TestEventSteadyEpochZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestEventsPhaseTracked pins that event-timeline application is
+// accounted as its own phase: with phase tracking on, an event run
+// accumulates events wall time, and with it off nothing accumulates.
+func TestEventsPhaseTracked(t *testing.T) {
+	run := func() {
+		eng, err := New(topo.MachineA(), eventTinySpec(), &thpOn{}, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	defer SetPhaseTracking(false)
+	defer ResetPhaseWall()
+	ResetPhaseWall()
+	SetPhaseTracking(false)
+	run()
+	if w := PhaseWallSnapshot(); w != (PhaseWall{}) {
+		t.Fatalf("tracking off accumulated %+v", w)
+	}
+	SetPhaseTracking(true)
+	run()
+	if w := PhaseWallSnapshot(); w.EventsSeconds <= 0 || w.AllocSeconds <= 0 {
+		t.Fatalf("tracked event run reported %+v, want events and alloc time", w)
+	}
+}

@@ -1,19 +1,20 @@
 package sim
 
 // Opt-in phase instrumentation for the epoch loop (README "Profiling").
-// Every epoch passes through four phases — allocation faulting, parallel
-// steady-state pricing, the serial merge stage, and the policy daemon
-// tick — and whole-run optimization work needs to know which one the
-// wall clock went to. Two independent switches, both process-wide and
-// default-off so unobserved runs pay nothing but a few predictable
-// branch-not-taken loads per epoch:
+// Every epoch passes through up to five phases — event-timeline
+// application, allocation faulting, parallel steady-state pricing, the
+// serial merge stage, and the policy daemon tick — and whole-run
+// optimization work needs to know which one the wall clock went to.
+// Two independent switches, both process-wide and default-off so
+// unobserved runs pay nothing but a few predictable branch-not-taken
+// loads per epoch:
 //
 //   - SetPhaseTracking accumulates host wall seconds per phase across
 //     every engine in the process (lpnuma bench reports the breakdown).
 //   - SetPhaseLabels tags the executing goroutine with a pprof label
-//     ("lpnuma_phase": alloc | steady-price | merge | daemon) at each
-//     phase boundary, so `go tool pprof -tagfocus` can slice a CPU
-//     profile by phase (the lpnuma -cpuprofile flag turns this on).
+//     ("lpnuma_phase": events | alloc | steady-price | merge | daemon)
+//     at each phase boundary, so `go tool pprof -tagfocus` can slice a
+//     CPU profile by phase (the lpnuma -cpuprofile flag turns this on).
 //
 // Host time is diagnostics only: it never feeds a simulation input and
 // is not part of Result, so the determinism contract is untouched.
@@ -27,7 +28,8 @@ import (
 
 // Epoch phases, in execution order.
 const (
-	phaseAlloc = iota
+	phaseEvents = iota
+	phaseAlloc
 	phasePrice
 	phaseMerge
 	phaseDaemon
@@ -38,6 +40,7 @@ const (
 // since the last ResetPhaseWall, summed over all engines in the
 // process (workers accumulate concurrently).
 type PhaseWall struct {
+	EventsSeconds float64 // event-timeline application (frees, shrinks, allocs, shifts)
 	AllocSeconds  float64 // allocation-fault rounds (full fidelity in both modes)
 	PriceSeconds  float64 // parallel steady-state pricing (stage 1)
 	MergeSeconds  float64 // serial merge of deferred mutations (stage 2)
@@ -54,7 +57,7 @@ var (
 // unlabeled base; precomputing keeps SetGoroutineLabels the only
 // per-boundary cost (pprof.Do would build labels and allocate per call).
 var phaseCtx = func() [numPhases + 1]context.Context {
-	names := [numPhases]string{"alloc", "steady-price", "merge", "daemon"}
+	names := [numPhases]string{"events", "alloc", "steady-price", "merge", "daemon"}
 	var out [numPhases + 1]context.Context
 	base := context.Background()
 	for i, n := range names {
@@ -82,6 +85,7 @@ func ResetPhaseWall() {
 // PhaseWallSnapshot returns the accumulated per-phase wall seconds.
 func PhaseWallSnapshot() PhaseWall {
 	return PhaseWall{
+		EventsSeconds: float64(phaseWallNS[phaseEvents].Load()) / 1e9,
 		AllocSeconds:  float64(phaseWallNS[phaseAlloc].Load()) / 1e9,
 		PriceSeconds:  float64(phaseWallNS[phasePrice].Load()) / 1e9,
 		MergeSeconds:  float64(phaseWallNS[phaseMerge].Load()) / 1e9,

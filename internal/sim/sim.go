@@ -98,7 +98,7 @@ type Config struct {
 	// every page individually through vm.Access instead of committing
 	// spans of same-(chunk, node, size) first-touches in one batched
 	// operation. The batched path replays the per-touch arithmetic
-	// exactly — same float-addition sequences per accumulator, same buddy
+	// exactly — same float-addition sequences per accumulator, same allocator
 	// transactions — so results are byte-identical with the switch on or
 	// off (TestBatchedAllocMatchesPerPage), and the field is excluded
 	// from runcache's content address.
@@ -117,6 +117,14 @@ type Config struct {
 	// Like Workers, the pool cannot affect results.
 	Pool *parallel.Pool
 }
+
+// ModelVersion identifies the simulation model's semantics for result
+// caches: runcache folds it into every cell key. Bump it with any change
+// that can alter some cell's Result under an unchanged Config, so a
+// persistent cache written by the earlier model misses instead of
+// answering with stale results. Version 2 is the block-granular
+// physical memory model (DESIGN.md §2.2).
+const ModelVersion = 2
 
 // DefaultConfig returns the evaluation calibration.
 func DefaultConfig() Config {
@@ -859,9 +867,13 @@ func (e *Engine) runEpoch(epoch int, epochCycles float64) bool {
 	// every thread prices the post-event workload shape — the settle
 	// clamp guarantees no thread has worked past the boundary.
 	eventsFired := false
-	if e.wl.HasEvents() && e.wl.ApplyReadyEvents(e.minWorkFrac()) > 0 {
-		e.growRegionState()
-		eventsFired = true
+	if e.wl.HasEvents() {
+		t0 := phaseEnter(phaseEvents)
+		if e.wl.ApplyReadyEvents(e.minWorkFrac()) > 0 {
+			e.growRegionState()
+			eventsFired = true
+		}
+		phaseExit(phaseEvents, t0)
 	}
 	// Refresh per-epoch derived state (page census, cache profiles, TLB
 	// assessment — identical across threads by symmetry). The assessment
@@ -1515,7 +1527,7 @@ func (e *Engine) allocOneSlow(t int, budgets []float64, allocCount []int, spent 
 // size), prices the whole run with one latency lookup, replays the
 // per-touch budget arithmetic to find how many touches the slice
 // affords, and commits them through one vm.ApplyAlloc* operation — one
-// buddy transaction, one accounting pass. Every float accumulator
+// allocator transaction, one accounting pass. Every float accumulator
 // advances by the same per-touch addition sequence as the per-page path,
 // so the result is byte-identical (TestBatchedAllocMatchesPerPage); runs
 // whose fault pre-checks fail fall back to allocOneSlow, which replays
@@ -1538,7 +1550,7 @@ func (e *Engine) allocSliceBatched(t int, budgets []float64, allocCount []int, s
 		switch run.Kind {
 		case vm.AllocRunFault4K:
 			// Cap the run at the node's free 4 KB frames: within that cap
-			// the buddy cannot fail (any free block splits down to 4 KB),
+			// the allocator cannot fail (4 KB allocations never fragment),
 			// beyond it the per-page fallback chain decides the outcome.
 			free := int(e.env.Phys.FreeBytes(run.Node) / uint64(mem.Size4K))
 			if free <= 0 {

@@ -165,8 +165,8 @@ func (t *THP) RunPromotionPass() float64 {
 			continue
 		}
 		// From here on the chunk is a promotion candidate: whether it
-		// actually promotes depends on access statistics and buddy
-		// availability, which mutate without a Gen bump, so a scan that
+		// actually promotes depends on access statistics and 2 MB
+		// block availability, which mutate without a Gen bump, so a scan that
 		// saw any candidate must not be recorded as clean.
 		candidates++
 		node, ok := r.DominantSubNode(ci)

@@ -51,8 +51,7 @@ func mustFree(p *mem.System, n topo.NodeID, size mem.PageSize) {
 	}
 }
 
-// mustFreeRun is mustFree for a batch of count same-(node, size) frames
-// (mem.FreeRun replays the exact per-call Free sequence).
+// mustFreeRun is mustFree for a batch of count same-(node, size) frames.
 func mustFreeRun(p *mem.System, n topo.NodeID, size mem.PageSize, count int) {
 	if err := p.FreeRun(n, size, count); err != nil {
 		panic(fmt.Sprintf("vm: %v", err))
@@ -412,6 +411,10 @@ func (r *Region) Unmap(lo, hi uint64) uint64 {
 		return 0
 	}
 	var released uint64
+	// 4 KB frames are returned per node in one FreeRun after the walk:
+	// one uniform pick of k1+k2 live frames has the distribution of a
+	// pick of k1 followed by a pick of k2.
+	freed := r.Space.unmapFreed
 	for ci := int(lo >> chunkShift); ci <= int((hi-1)>>chunkShift); ci++ {
 		base := uint64(ci) << chunkShift
 		c := &r.chunks[ci]
@@ -427,33 +430,20 @@ func (r *Region) Unmap(lo, hi uint64) uint64 {
 			r.count2M--
 			released += uint64(mem.Size2M)
 		case state4K:
-			// Free maximal same-node runs in one batched call each:
-			// mem.FreeRun replays the exact per-call sequence, and the
-			// tight loop lets the random-victim cache misses overlap.
-			for sub := 0; sub < SubsPerChunk; {
+			for sub := 0; sub < SubsPerChunk; sub++ {
 				sa := base + uint64(sub)<<subShift
-				if sa < lo || sa+uint64(mem.Size4K) > hi || c.subNode[sub] == unmappedNode {
-					sub++
+				node := c.subNode[sub]
+				if sa < lo || sa+uint64(mem.Size4K) > hi || node == unmappedNode {
 					continue
 				}
-				node := c.subNode[sub]
-				run := sub + 1
-				for run < SubsPerChunk && c.subNode[run] == node &&
-					base+uint64(run+1)<<subShift <= hi {
-					run++
-				}
-				n := run - sub
-				mustFreeRun(r.Space.Phys, topo.NodeID(node), mem.Size4K, n)
-				for i := sub; i < run; i++ {
-					c.subNode[i] = unmappedNode
-					c.subAcc[i] = 0
-					c.subMask[i] = 0
-				}
+				freed[node]++
+				c.subNode[sub] = unmappedNode
+				c.subAcc[sub] = 0
+				c.subMask[sub] = 0
 				c.runsOK = false
-				c.mapped -= int32(n)
-				r.count4K -= n
-				released += uint64(n) * uint64(mem.Size4K)
-				sub = run
+				c.mapped--
+				r.count4K--
+				released += uint64(mem.Size4K)
 			}
 		case state1G:
 			head := c.giantHead
@@ -473,6 +463,12 @@ func (r *Region) Unmap(lo, hi uint64) uint64 {
 			}
 			r.count1G--
 			released += uint64(mem.Size1G)
+		}
+	}
+	for n, k := range freed {
+		if k > 0 {
+			mustFreeRun(r.Space.Phys, topo.NodeID(n), mem.Size4K, k)
+			freed[n] = 0
 		}
 	}
 	if released > 0 {

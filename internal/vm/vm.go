@@ -287,6 +287,10 @@ type AddrSpace struct {
 	// faulted this epoch, and last epoch's population count.
 	faulterBits    []uint64
 	laggedFaulters int
+
+	// unmapFreed is Region.Unmap's per-node count of 4 KB frames to
+	// return, all zero between calls.
+	unmapFreed []int
 }
 
 // NewAddrSpace creates an empty address space on machine m backed by phys.
@@ -299,6 +303,7 @@ func NewAddrSpace(m *topo.Machine, phys *mem.System, fp FaultParams) *AddrSpace 
 		nextVA:             1 << 30,
 		faultCyclesPerCore: make([]float64, m.TotalCores()),
 		faulterBits:        make([]uint64, (m.TotalCores()+63)/64),
+		unmapFreed:         make([]int, m.Nodes),
 	}
 }
 

@@ -13,7 +13,7 @@ import "repro/internal/cache"
 // the two failure modes the static suite hides:
 //
 //   - WC.churn: an input arena is torn down mid-run, leaving scattered
-//     4 KB holes (buddy fragmentation), and a fresh output arena is then
+//     4 KB holes (fragmentation), and a fresh output arena is then
 //     allocated into the rubble — THP's 2 MB faults fail with
 //     mem.ErrFragmented and fall back to 4 KB, so policies that bank on
 //     huge pages lose them exactly when allocation resumes.
@@ -33,7 +33,7 @@ func Dynamic() []Spec {
 // phase, torn down at the reduce barrier, and replaced by a fresh output
 // arena. The arena is sized to consume nearly all of machine A's DRAM,
 // so its teardown (scattered 4 KB frees — uncorrelated lifetimes in the
-// buddy model) leaves every node with ample free bytes but almost no 2 MB
+// physical memory model) leaves every node with ample free bytes but almost no 2 MB
 // contiguity. The fresh arena then faults in lazily: under 4 KB policies
 // nothing changes, while THP-family policies see their 2 MB faults fail
 // with ErrFragmented and degrade to 4 KB pages they can no longer
@@ -55,8 +55,8 @@ func WCChurn() Spec {
 		},
 		Events: []EventSpec{
 			// Reduce barrier: the arena is torn down to its live residue.
-			// The buddy model frees scattered frames, shattering every
-			// node's free lists into 4 KB holes.
+			// The allocator frees scattered frames, leaving no 2 MB block
+			// on any node wholly free.
 			{AtWorkFrac: 0.35, ShrinkRegion: "arena", ShrinkToFrac: 0.08,
 				Weights: []float64{0.42, 0.22, 0.36}},
 			// Output phase: a fresh anonymous arena allocated into the

@@ -260,7 +260,7 @@ func TestShiftEventBumpsGeneration(t *testing.T) {
 }
 
 // TestFreeEventReleasesPhysicalMemory checks the end-to-end ledger: a
-// freed region's frames return to the buddy allocator.
+// freed region's frames return to the physical allocator.
 func TestFreeEventReleasesPhysicalMemory(t *testing.T) {
 	s := eventSpec([]EventSpec{
 		{AtWorkFrac: 0.5, FreeRegion: "a", Weights: []float64{0, 1}},
