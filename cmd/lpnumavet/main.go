@@ -1,38 +1,21 @@
 // Command lpnumavet runs the repository's custom static analyzers
 // (internal/analyzers): genbump, mapiter, noalloc, wallclock and
-// wrapsentinel. It supports two modes:
-//
-// Standalone, from anywhere inside the module:
+// wrapsentinel. From anywhere inside the module:
 //
 //	lpnumavet ./...
 //
 // loads and type-checks every module package from source (no build
-// cache, no network) and prints findings as file:line:col: message.
-//
-// As a go vet tool:
-//
-//	go vet -vettool=$(which lpnumavet) ./...
-//
-// speaks the vet driver protocol (-V=full, -flags, unit.cfg), reusing
-// the export data the go command already produced, so it composes with
-// vet's caching. Test-variant units (ID "pkg [pkg.test]") are skipped:
-// the invariants apply to production code, and test files measure wall
-// time and range over maps legitimately.
+// cache, no network) with the same analysis.Loader the analyzers'
+// fixture tests use, and prints findings as file:line:col: message.
+// Test files are not analyzed: the invariants apply to production
+// code, and test files measure wall time and range over maps
+// legitimately.
 //
 // Exit status is 1 if any findings were reported, 0 otherwise.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"strings"
 
@@ -41,47 +24,13 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			printVersion()
-			return
-		case a == "-flags" || a == "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnit(args[0]))
-	}
-	os.Exit(runStandalone(args))
+	os.Exit(analyze(os.Args[1:]))
 }
 
-// printVersion implements the -V=full protocol: the go command hashes
-// this line into its action cache key, so it must change whenever the
-// tool binary changes. Hashing the executable itself achieves that.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("lpnumavet version devel comments-go-here buildID=%02x\n", h.Sum(nil))
-}
-
-// runStandalone loads the whole module from source and analyzes every
+// analyze loads the whole module from source and analyzes every
 // package. Patterns other than ./... are taken as import-path
 // prefixes to keep ("./internal/vm" or "repro/internal/vm").
-func runStandalone(patterns []string) int {
+func analyze(patterns []string) int {
 	wd, err := os.Getwd()
 	if err != nil {
 		fatalf("%v", err)
@@ -144,119 +93,6 @@ func runStandalone(patterns []string) int {
 	}
 	return 0
 }
-
-// vetConfig is the JSON compilation-unit description the go command
-// hands to a -vettool (a subset of x/tools unitchecker.Config).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit analyzes one compilation unit under the go vet protocol.
-func runUnit(configFile string) int {
-	data, err := os.ReadFile(configFile)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatalf("cannot decode vet config %s: %v", configFile, err)
-	}
-	// The go command requires the facts file regardless of outcome; the
-	// suite defines no facts, so it is always empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	// Production code only: skip explicit test variants ("pkg
-	// [pkg.test]" and the "pkg.test" main) and drop in-package
-	// _test.go files, which go vet folds into the regular unit. The
-	// invariants apply to the code that produces results; test files
-	// measure wall time and range over maps legitimately.
-	if cfg.VetxOnly || cfg.ID != cfg.ImportPath ||
-		strings.Contains(cfg.ImportPath, " [") || strings.HasSuffix(cfg.ImportPath, ".test") {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0 // the compiler will report it
-			}
-			fatalf("%v", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	compilerImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	tc := &types.Config{
-		Importer: importerFunc(func(importPath string) (*types.Package, error) {
-			path, ok := cfg.ImportMap[importPath]
-			if !ok {
-				return nil, fmt.Errorf("can't resolve import %q", importPath)
-			}
-			return compilerImp.Import(path)
-		}),
-		Sizes:     types.SizesFor("gc", build.Default.GOARCH),
-		GoVersion: cfg.GoVersion,
-	}
-	info := analysis.NewInfo()
-	tpkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fatalf("type-checking %s: %v", cfg.ImportPath, err)
-	}
-	pkg := &analysis.Package{
-		Path:  cfg.ImportPath,
-		Dir:   cfg.Dir,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	findings, err := analysis.Run(pkg, analyzers.All())
-	if err != nil {
-		fatalf("%v", err)
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "lpnumavet: "+format+"\n", args...)

@@ -195,7 +195,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
+	info := newInfo()
 	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
@@ -206,8 +206,8 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
+// newInfo returns a types.Info with every map the analyzers consult.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Instances:  map[*ast.Ident]types.Instance{},

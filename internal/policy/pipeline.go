@@ -63,13 +63,6 @@ type Pipeline struct {
 	// view; without any such consumer the IBS sampler runs passively
 	// (exact taken/dropped accounting, no sample storage).
 	needsTel bool
-
-	// ForceGatedHooks is a debug knob for the gate-equivalence tests: Tick
-	// runs due-gated hooks even when their gate reports false, while
-	// NextDaemonDue still honors the gates. Because gated-off hooks must
-	// be pure no-ops, a run with this knob set is byte-identical to a
-	// normal one — which is exactly what the tests prove.
-	ForceGatedHooks bool
 }
 
 // NewPipeline assembles a named pipeline from mechanisms.
@@ -115,7 +108,9 @@ func (p *Pipeline) Every(name string, periodSeconds float64, fn func(env *sim.En
 // and a gated-off hook does not pin NextDaemonDue. The caller must
 // guarantee that fn would be a pure no-op whenever due() is false —
 // that invariant is what lets the engine treat a gated-off hook as
-// absent (and is enforced by the ForceGatedHooks equivalence tests).
+// absent. Under the engine's reference switch (sim.Env.Reference) Tick
+// runs gated-off hooks anyway, so the reference matrix catches a gate
+// that hides real work.
 func (p *Pipeline) EveryDue(name string, periodSeconds float64, due func() bool, fn func(env *sim.Env, now float64) float64) {
 	p.hooks = append(p.hooks, hook{name: name, period: periodSeconds, last: -1e18, due: due, fn: fn})
 }
@@ -126,7 +121,9 @@ func (p *Pipeline) EveryDue(name string, periodSeconds float64, due func() bool,
 func (p *Pipeline) NeedsTelemetry() { p.needsTel = true }
 
 // Tick implements sim.OS: due hooks run in registration order and their
-// overhead cycles are summed.
+// overhead cycles are summed. Under the engine's reference switch a
+// hook whose period elapsed runs even when its gate reports false;
+// NextDaemonDue honors the gates either way.
 func (p *Pipeline) Tick(env *sim.Env, now float64) float64 {
 	var overhead float64
 	for i := range p.hooks {
@@ -134,7 +131,7 @@ func (p *Pipeline) Tick(env *sim.Env, now float64) float64 {
 		if h.period > 0 && now-h.last < h.period {
 			continue
 		}
-		if h.due != nil && !h.due() && !p.ForceGatedHooks {
+		if h.due != nil && !h.due() && !env.Reference() {
 			continue
 		}
 		h.last = now

@@ -19,15 +19,6 @@ import (
 var excludedKeyFields = map[string]bool{
 	"Workers": true,
 	"Pool":    true,
-	// FullRecompute disables the incremental engine's memoization but is
-	// byte-identity-equivalent by contract (DESIGN.md §4.10, enforced by
-	// TestIncrementalMatchesFullRecompute), so like the parallelism knobs
-	// it must not split the cache.
-	"FullRecompute": true,
-	// PerPageAlloc likewise selects between the batched and per-page
-	// allocation paths, which are byte-identity-equivalent by contract
-	// (DESIGN.md §4.11, enforced by TestBatchedAllocMatchesPerPage).
-	"PerPageAlloc": true,
 }
 
 // TestKeyCoversEveryConfigField walks every leaf field of sim.Config by

@@ -67,10 +67,11 @@ func KeyOf(req runner.Request) Key {
 // and Go versions, unlike hashing the in-memory representation), prefixed
 // with sim.ModelVersion so a persistent store written by an earlier
 // model never answers a cell the current model would simulate
-// differently. Config.Workers, Config.Pool and Config.FullRecompute are
-// deliberately absent: the engine's results are byte-identical for any
-// worker count and with memoization disabled (both enforced by test),
-// so cells differing only in those knobs must share one cache entry.
+// differently. Config.Workers and Config.Pool are deliberately absent:
+// the engine's results are byte-identical for any worker count
+// (enforced by sim's reference matrix), so cells differing only in
+// those knobs must share one cache entry. The engine's reference switch
+// is not a Config field at all, so no key can ever see it.
 // Every other field — including Mode: a cached sampled result must
 // never answer an analytic cell — is covered, and
 // TestKeyCoversEveryConfigField enforces exhaustiveness by reflection,

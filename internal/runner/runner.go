@@ -1,14 +1,13 @@
-// Package runner drives simulations: it resolves machine, workload and
-// policy names, runs (optionally host-parallel) sweeps, and computes the
-// relative improvements the paper's figures plot.
+// Package runner drives single simulations: it resolves machine,
+// workload and policy names, runs one cell, and computes the relative
+// improvements the paper's figures plot. Sweeps of many cells go
+// through runcache's scheduler.
 package runner
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -84,44 +83,6 @@ func RunContext(ctx context.Context, req Request) (sim.Result, error) {
 	return eng.RunContext(ctx)
 }
 
-// RunAll executes the requests with host parallelism (each simulation is
-// independent and deterministic, so results are reproducible regardless
-// of scheduling). Results are returned in request order; the first error
-// aborts.
-func RunAll(reqs []Request) ([]sim.Result, error) {
-	results := make([]sim.Result, len(reqs))
-	errs := make([]error, len(reqs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				results[i], errs[i] = Run(reqs[i])
-			}
-		}()
-	}
-	for i := range reqs {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
 // ImprovementPct is the paper's performance metric: percent improvement of
 // x over the baseline, computed from runtimes (positive = x is faster).
 func ImprovementPct(baseline, x sim.Result) float64 {
@@ -134,26 +95,4 @@ func ImprovementPct(baseline, x sim.Result) float64 {
 // Key identifies a result in a sweep map.
 type Key struct {
 	Machine, Workload, Policy string
-}
-
-// Sweep runs the cross product of the given dimensions and indexes the
-// results.
-func Sweep(machines, workloadNames, policies []string, seed uint64, cfg *sim.Config) (map[Key]sim.Result, error) {
-	var reqs []Request
-	for _, m := range machines {
-		for _, w := range workloadNames {
-			for _, p := range policies {
-				reqs = append(reqs, Request{Machine: m, Workload: w, Policy: p, Seed: seed, Cfg: cfg})
-			}
-		}
-	}
-	results, err := RunAll(reqs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[Key]sim.Result, len(results))
-	for i, r := range results {
-		out[Key{reqs[i].Machine, reqs[i].Workload, reqs[i].Policy}] = r
-	}
-	return out, nil
 }

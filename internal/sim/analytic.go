@@ -127,8 +127,8 @@ type threadGeom struct {
 	// scale only, so they are keyed on (appKey, scale). In a converged
 	// steady stretch neither moves epoch over epoch and mergeSteady
 	// replays the memoized delta; a float product is deterministic, so
-	// the replay is byte-identical to recomputing (the FullRecompute
-	// identity tests cover the memo because the toggle disables it).
+	// the replay is byte-identical to recomputing (the reference matrix
+	// covers the memo because the reference switch disables it).
 	flushKey   memoKey
 	flushScale float64
 	physFlush  []float64 // homeCnt[h]·scale
@@ -282,13 +282,13 @@ func (e *Engine) priceAnalytic(t, epoch int, epochCycles float64, assess tlb.Ass
 	K := float64(e.cfg.SteadySamples)
 
 	gKey := memoKey{gen: e.geomGen, phase: px.phase}
-	if e.cfg.FullRecompute || g.key != gKey {
+	if e.reference || g.key != gKey {
 		e.buildGeometry(t, px.src, px.phase, px.ibsPerAccess, K, g)
 		g.key = gKey
 		g.appKey = invalidMemoKey
 	}
 	aKey := memoKey{gen: e.contGen, phase: px.phase}
-	if e.cfg.FullRecompute || g.appKey != aKey {
+	if e.reference || g.appKey != aKey {
 		e.applyContention(px.src, px.latRow, px.fabRow, px.mlp, assess, K, g)
 		g.appKey = aKey
 	}

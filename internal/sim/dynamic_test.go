@@ -1,7 +1,7 @@
 package sim_test
 
-// Shared event-timeline specs for the worker-count determinism matrix
-// (policies_parallel_test.go) and the sampled↔analytic equivalence
+// Shared event-timeline specs for the reference matrix
+// (reference_test.go) and the sampled↔analytic equivalence
 // suite (equivalence_test.go). They are deliberately small — the
 // suite-registered dynamic workloads (WC.churn's 60 GiB arena) are
 // sized to fragment machine A and are far too heavy for seed-swept

@@ -35,7 +35,6 @@ type EpochBenchResult struct {
 // simulation contract.
 func BenchAnalyticEpoch(machine *topo.Machine, spec workloads.Spec, os OS, cfg Config, reps int) (EpochBenchResult, error) {
 	cfg.Mode = ModeAnalytic
-	cfg.FullRecompute = false
 	e, err := New(machine, spec, os, cfg)
 	if err != nil {
 		return EpochBenchResult{}, err
@@ -53,7 +52,7 @@ func BenchAnalyticEpoch(machine *topo.Machine, spec workloads.Spec, os OS, cfg C
 	assess := e.tlbModel.Assess(e.wl.TLBSegments(0, e.counts))
 
 	price := func(full, quiet bool) {
-		e.cfg.FullRecompute = full
+		e.reference = full
 		e.epochQuiet = quiet
 		for t := 0; t < e.threads; t++ {
 			e.budgets[t] = epochCycles
@@ -63,7 +62,7 @@ func BenchAnalyticEpoch(machine *topo.Machine, spec workloads.Spec, os OS, cfg C
 			e.ts[t].ran = true
 			e.priceAnalytic(t, 0, epochCycles, assess, false)
 		}
-		e.cfg.FullRecompute = false
+		e.reference = false
 		e.epochQuiet = false
 	}
 	timed := func(full, quiet bool) float64 {

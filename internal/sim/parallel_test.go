@@ -10,10 +10,10 @@ import (
 )
 
 // The engine's central parallelism contract — sim.Result byte-identical
-// for any worker count — is asserted over *every* policy in
-// TestResultIdenticalAcrossWorkerCounts (policies_parallel_test.go,
-// external test package: the policy registry imports sim, so the matrix
-// cannot live in this package).
+// for any worker count — is asserted over *every* policy by
+// TestReferenceMatrix (reference_test.go, external test package: the
+// policy registry imports sim, so the matrix cannot live in this
+// package).
 
 // primeSteady advances an engine past its allocation barrier and
 // prepares a steady-state epoch context (the snapshot runEpoch builds

@@ -81,29 +81,6 @@ type Config struct {
 	// IBS configures the hardware sampler.
 	IBS ibs.Config
 
-	// FullRecompute is a debug switch for the incremental analytic
-	// engine (DESIGN.md §4.10): it forces every per-thread geometry and
-	// contention cache to rebuild each epoch instead of reusing entries
-	// keyed on vm.Region.Gen and the contention generation. Quiescence
-	// detection and telemetry deferral are decided from the same inputs
-	// either way, so results are byte-identical with the switch on or
-	// off — that is the incremental engine's correctness contract,
-	// enforced by TestIncrementalMatchesFullRecompute — and, like
-	// Workers, the field is excluded from runcache's content address.
-	// ModeSampled ignores it.
-	FullRecompute bool
-
-	// PerPageAlloc is the batched allocation path's FullRecompute
-	// analogue (DESIGN.md §4.11): it forces the allocation phase to fault
-	// every page individually through vm.Access instead of committing
-	// spans of same-(chunk, node, size) first-touches in one batched
-	// operation. The batched path replays the per-touch arithmetic
-	// exactly — same float-addition sequences per accumulator, same allocator
-	// transactions — so results are byte-identical with the switch on or
-	// off (TestBatchedAllocMatchesPerPage), and the field is excluded
-	// from runcache's content address.
-	PerPageAlloc bool
-
 	// Workers caps the intra-run worker count of the parallel pricing
 	// stage: 0 selects the host parallelism (or defers to Pool when one
 	// is attached), 1 forces serial pricing. Results are byte-identical
@@ -191,6 +168,12 @@ type Env struct {
 
 	engine *Engine
 }
+
+// Reference reports whether the engine runs its slow reference paths
+// (DESIGN.md §4.10). Policies with fast paths of their own consult it:
+// a pipeline then runs every due-gated hook even when its gate reports
+// no pending work, which must change nothing.
+func (env *Env) Reference() bool { return env.engine.reference }
 
 // PTConfig configures NUMA-aware page-table placement pricing.
 type PTConfig struct {
@@ -379,7 +362,19 @@ type threadScratch struct {
 
 // Engine runs one (machine, workload, policy) simulation.
 type Engine struct {
-	cfg     Config
+	cfg Config
+	// reference selects every slow reference path at once: each
+	// incremental memo (DESIGN.md §4.10) rebuilds every epoch, the
+	// allocation phase faults page by page through vm.Access instead of
+	// in batched spans (§4.11), and pipelines run their due-gated hooks
+	// even when the gate reports no pending work (Env.Reference). The
+	// fast paths are pure evaluation-order optimizations, so a result
+	// is byte-identical with the switch on or off; the reference
+	// matrix (reference_test.go) asserts exactly that. It is not a
+	// Config field — runcache keys and the public API never see it —
+	// and only tests turn it on.
+	reference bool
+
 	machine *topo.Machine
 	wl      *workloads.Instance
 	os      OS
@@ -667,7 +662,7 @@ func (e *Engine) snapshotEpoch() {
 			if g := br.VM.Gen(); g != e.snapGen[ri] {
 				e.snapGen[ri] = g
 				moved = true
-			} else if !e.cfg.FullRecompute {
+			} else if !e.reference {
 				stale = false
 			}
 		}
@@ -767,8 +762,8 @@ func cmpCopy(dst *[]float64, src []float64) bool {
 // thread's cached aggregates are exact, so pricing reuses them
 // wholesale and defers the census and IBS thinning (DESIGN.md §4.10).
 // The decision reads only serial engine state and never the cached
-// values themselves, so it is identical under FullRecompute — which is
-// what makes forced-recompute runs byte-identical.
+// values themselves, so it is identical under the reference switch —
+// which is what makes reference runs byte-identical.
 func (e *Engine) refreshContention(eventsFired, allocsRan bool, epochCycles float64) {
 	dirty := e.geomGen != e.lastGeomGen
 	e.lastGeomGen = e.geomGen
@@ -881,7 +876,7 @@ func (e *Engine) runEpoch(epoch int, epochCycles float64) bool {
 	// ModeAnalytic reuses the previous epoch's until either moved.
 	e.snapshotEpoch()
 	assess := e.assessCache
-	if !e.assessValid || e.cfg.FullRecompute || e.snapGen == nil {
+	if !e.assessValid || e.reference || e.snapGen == nil {
 		assess = e.tlbModel.Assess(e.wl.TLBSegments(0, e.counts))
 		e.assessCache = assess
 		e.assessValid = true
@@ -1349,7 +1344,7 @@ func (e *Engine) mergeSteady(t int) {
 	}
 	scale := s.scale
 	src := e.machine.NodeOf(core)
-	if g := s.geom; g != nil && !e.cfg.FullRecompute {
+	if g := s.geom; g != nil && !e.reference {
 		// Incremental merge accounting (DESIGN.md §4.11): the scaled flush
 		// products are keyed on (appKey, scale) — in a converged stretch
 		// both are unchanged and the thread replays its memoized delta.
@@ -1455,7 +1450,7 @@ func (e *Engine) runAllocRounds(epoch int, budgets []float64) bool {
 		for _, t := range active {
 			src := int(e.machine.NodeOf(e.core(t)))
 			latRow := e.lat[src*e.nodes : (src+1)*e.nodes]
-			if e.cfg.PerPageAlloc {
+			if e.reference {
 				e.allocSlicePerPage(t, budgets, allocCount, src, latRow)
 			} else {
 				e.allocSliceBatched(t, budgets, allocCount, src, latRow)
@@ -1472,7 +1467,7 @@ func (e *Engine) runAllocRounds(epoch int, budgets []float64) bool {
 
 // allocSlicePerPage runs one thread's allocation time slice touch by
 // touch through vm.Access — the reference path the batched slice must
-// reproduce byte for byte (Config.PerPageAlloc forces it everywhere).
+// reproduce byte for byte (the reference switch forces it everywhere).
 func (e *Engine) allocSlicePerPage(t int, budgets []float64, allocCount []int, src int, latRow []float64) {
 	var spent float64
 	for spent < e.cfg.AllocRoundCycles {
@@ -1529,7 +1524,7 @@ func (e *Engine) allocOneSlow(t int, budgets []float64, allocCount []int, spent 
 // affords, and commits them through one vm.ApplyAlloc* operation — one
 // allocator transaction, one accounting pass. Every float accumulator
 // advances by the same per-touch addition sequence as the per-page path,
-// so the result is byte-identical (TestBatchedAllocMatchesPerPage); runs
+// so the result is byte-identical (TestReferenceMatrix); runs
 // whose fault pre-checks fail fall back to allocOneSlow, which replays
 // the fallback chain exactly.
 func (e *Engine) allocSliceBatched(t int, budgets []float64, allocCount []int, src int, latRow []float64) {

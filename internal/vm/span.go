@@ -18,7 +18,7 @@ import (
 // touches in one pass — one buddy transaction, one accounting update —
 // with integer counters summed and float accumulators advanced by the
 // same per-touch add sequence, so the run-level path is byte-identical
-// to per-page Region.Access calls (sim's TestBatchedAllocMatchesPerPage).
+// to per-page Region.Access calls (sim's TestReferenceMatrix).
 
 // AllocRunKind classifies a run of allocation-phase first-touches.
 type AllocRunKind uint8

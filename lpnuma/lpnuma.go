@@ -90,8 +90,13 @@ func RunContext(ctx context.Context, req Request) (Result, error) {
 }
 
 // RunAll executes many simulations with host parallelism, returning
-// results in request order.
-func RunAll(reqs []Request) ([]Result, error) { return runner.RunAll(reqs) }
+// results in request order. It resolves through a fresh sweep
+// scheduler (runcache.New(0): one worker per CPU, identical requests
+// simulated once), the engine behind `all`, `bench` and `serve`.
+func RunAll(reqs []Request) ([]Result, error) {
+	res, _, err := runcache.New(0).Results(reqs)
+	return res, err
+}
 
 // EpochBenchResult reports per-epoch pricing times; see
 // sim.EpochBenchResult.

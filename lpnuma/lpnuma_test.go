@@ -38,3 +38,35 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 	_ = ImprovementPct(base, res) // must not panic
 }
+
+// TestRunAllMatchesSequential checks that RunAll, which resolves through
+// the shared sweep scheduler, returns in request order exactly what
+// sequential Run calls produce — duplicate requests included.
+func TestRunAllMatchesSequential(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WorkScale = 0.02
+	reqs := []Request{
+		{Machine: "A", Workload: "EP.C", Policy: PolicyLinux4K, Seed: 1, Cfg: &cfg},
+		{Machine: "A", Workload: "EP.C", Policy: PolicyTHP, Seed: 1, Cfg: &cfg},
+		{Machine: "A", Workload: "EP.C", Policy: PolicyLinux4K, Seed: 1, Cfg: &cfg},
+	}
+	par, err := RunAll(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(par) != len(reqs) {
+		t.Fatalf("RunAll returned %d results for %d requests", len(par), len(reqs))
+	}
+	for i, req := range reqs {
+		seq, err := Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par[i] != seq {
+			t.Fatalf("RunAll result %d diverged from sequential Run:\n all: %+v\n run: %+v", i, par[i], seq)
+		}
+	}
+	if _, err := RunAll([]Request{{Machine: "X", Workload: "EP.C", Policy: PolicyTHP}}); err == nil {
+		t.Fatal("RunAll accepted an unknown machine")
+	}
+}
