@@ -15,6 +15,8 @@ package sim_test
 // External test package: the policy registry imports sim.
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/policy"
@@ -96,17 +98,32 @@ func referenceMatrix(t *testing.T) []refCell {
 	)
 }
 
+// cellRuns holds one cell's five runs. A cell that several of the named
+// selections below include is simulated once per test binary.
+type cellRuns struct {
+	once     sync.Once
+	err      error
+	ref      [2]sim.Result // reference engine at 1 and 8 workers
+	fast     [3]sim.Result // fast engine at fastWorkers
+	quiet    int           // most quiet epochs any fast run saw
+	promoted uint64        // chunks khugepaged promoted in the reference run
+}
+
+var fastWorkers = [3]int{1, 2, 8}
+
+// cellMemo maps refCell.name() to its *cellRuns.
+var cellMemo sync.Map
+
 // runRef runs one cell and returns the result, its quiet-epoch count
 // and how many chunks khugepaged promoted.
-func runRef(t *testing.T, c refCell, workers int, reference bool) (sim.Result, int, uint64) {
-	t.Helper()
+func runRef(c refCell, workers int, reference bool) (sim.Result, int, uint64, error) {
 	machine := topo.MachineA()
 	if c.machine == "B" {
 		machine = topo.MachineB()
 	}
 	pol, err := policy.ByName(c.pol)
 	if err != nil {
-		t.Fatal(err)
+		return sim.Result{}, 0, 0, err
 	}
 	cfg := sim.DefaultConfig()
 	cfg.WorkScale = c.scale
@@ -114,18 +131,64 @@ func runRef(t *testing.T, c refCell, workers int, reference bool) (sim.Result, i
 	cfg.Workers = workers
 	eng, err := sim.New(machine, c.spec, pol, cfg)
 	if err != nil {
-		t.Fatal(err)
+		return sim.Result{}, 0, 0, err
 	}
 	sim.SetReference(eng, reference)
 	res := eng.Run()
 	if res.TimedOut {
-		t.Fatalf("%s timed out", c.name())
+		return sim.Result{}, 0, 0, fmt.Errorf("%s timed out (reference=%v, %d workers)", c.name(), reference, workers)
 	}
 	var promoted uint64
 	if th := pol.(*policy.Pipeline).THP(); th != nil {
 		promoted = th.Promoted()
 	}
-	return res, eng.QuietEpochs(), promoted
+	return res, eng.QuietEpochs(), promoted, nil
+}
+
+func (r *cellRuns) run(c refCell) error {
+	var err error
+	if r.ref[0], _, r.promoted, err = runRef(c, 1, true); err != nil {
+		return err
+	}
+	if r.ref[1], _, _, err = runRef(c, 8, true); err != nil {
+		return err
+	}
+	for i, workers := range fastWorkers {
+		var q int
+		if r.fast[i], q, _, err = runRef(c, workers, false); err != nil {
+			return err
+		}
+		r.quiet = max(r.quiet, q)
+	}
+	return nil
+}
+
+// checkCell is the matrix check for one cell: the fast engine at 1, 2
+// and 8 workers and the reference engine at 8 workers must equal the
+// reference engine at 1 worker, plus the cell's non-vacuity guards.
+func checkCell(t *testing.T, c refCell) {
+	t.Helper()
+	v, _ := cellMemo.LoadOrStore(c.name(), new(cellRuns))
+	r := v.(*cellRuns)
+	r.once.Do(func() { r.err = r.run(c) })
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	ref := r.ref[0]
+	for i, workers := range fastWorkers {
+		if r.fast[i] != ref {
+			t.Errorf("fast engine at %d workers differs from the reference:\n fast: %+v\n ref:  %+v", workers, r.fast[i], ref)
+		}
+	}
+	if r.ref[1] != ref {
+		t.Errorf("reference engine differs between 8 and 1 workers:\n 8w: %+v\n 1w: %+v", r.ref[1], ref)
+	}
+	if c.wantQuiet && r.quiet == 0 {
+		t.Errorf("cell expected to exercise the quiescent path saw 0 quiet epochs")
+	}
+	if c.wantPromote && r.promoted == 0 {
+		t.Errorf("cell expected khugepaged to promote, but the reference run promoted nothing")
+	}
 }
 
 // TestReferenceMatrix is the engine's byte-identity contract.
@@ -134,24 +197,112 @@ func TestReferenceMatrix(t *testing.T) {
 		c := c
 		t.Run(c.name(), func(t *testing.T) {
 			t.Parallel()
-			ref, _, promoted := runRef(t, c, 1, true)
-			quiet := 0
-			for _, workers := range []int{1, 2, 8} {
-				res, q, _ := runRef(t, c, workers, false)
-				if res != ref {
-					t.Errorf("fast engine at %d workers differs from the reference:\n fast: %+v\n ref:  %+v", workers, res, ref)
-				}
-				quiet = max(quiet, q)
-			}
-			if res, _, _ := runRef(t, c, 8, true); res != ref {
-				t.Errorf("reference engine differs between 8 and 1 workers:\n 8w: %+v\n 1w: %+v", res, ref)
-			}
-			if c.wantQuiet && quiet == 0 {
-				t.Errorf("cell expected to exercise the quiescent path saw 0 quiet epochs")
-			}
-			if c.wantPromote && promoted == 0 {
-				t.Errorf("cell expected khugepaged to promote, but the reference run promoted nothing")
-			}
+			checkCell(t, c)
 		})
 	}
+}
+
+// The tests below are named selections of the matrix: each runs
+// checkCell on the cells one fast path's identity check has always
+// covered, under that check's subtest names, so a failure still points
+// at the path most likely at fault. Memoized runs make them free when
+// TestReferenceMatrix runs in the same binary.
+
+// runCells runs checkCell as a parallel subtest for each {label, cell
+// name} pair; a name the matrix no longer holds fails the selection.
+func runCells(t *testing.T, pairs [][2]string) {
+	t.Helper()
+	byName := map[string]refCell{}
+	for _, c := range referenceMatrix(t) {
+		byName[c.name()] = c
+	}
+	for _, p := range pairs {
+		c, ok := byName[p[1]]
+		if !ok {
+			t.Fatalf("reference matrix has no cell %s", p[1])
+		}
+		t.Run(p[0], func(t *testing.T) {
+			t.Parallel()
+			checkCell(t, c)
+		})
+	}
+}
+
+// TestIncrementalMatchesFullRecompute selects the cells covering the
+// incremental memos' invalidation surfaces (DESIGN.md §4.10): a
+// hook-free pipeline, Carrefour migrations bumping Region.Gen mid-run,
+// giant pages on the 64-thread machine, both full-scale quiescent
+// cells and both event timelines.
+func TestIncrementalMatchesFullRecompute(t *testing.T) {
+	runCells(t, [][2]string{
+		{"A/UA.B/Linux4K", "A/UA.B/Linux4K/analytic"},
+		{"A/UA.B/CarrefourLP", "A/UA.B/CarrefourLP/analytic"},
+		{"B/CG.D/HugeTLB1G", "B/CG.D/HugeTLB1G/analytic"},
+		{"B/CG.D/PTBaseline", "B/CG.D/PTBaseline/analytic/full"},
+		{"A/SSCA.20/THP", "A/SSCA.20/THP/analytic/full"},
+		{"A/churn.eq/THP", "A/churn.eq/THP/analytic"},
+		{"A/free.eq/TridentLP", "A/free.eq/TridentLP/analytic"},
+	})
+}
+
+// TestIncrementalCacheInvalidation selects every cell on the two event
+// timelines, where growth, churn remaps, hot-set shifts and unmaps
+// rewrite weights, phases and mappings mid-run.
+func TestIncrementalCacheInvalidation(t *testing.T) {
+	for _, spec := range []workloads.Spec{churnTimeline(), shiftFreeTimeline()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			var pairs [][2]string
+			for _, pol := range policy.Names() {
+				for _, mode := range []sim.Mode{sim.ModeSampled, sim.ModeAnalytic} {
+					name := "A/" + spec.Name + "/" + pol + "/" + mode.String()
+					pairs = append(pairs, [2]string{pol + "/" + mode.String(), name})
+				}
+			}
+			runCells(t, pairs)
+		})
+	}
+}
+
+// TestBatchedAllocMatchesPerPage selects the cells covering every run
+// kind of batched allocation faulting (DESIGN.md §4.11): 4 KB fault
+// runs, 2 MB single-touch faults with post-fault hit runs, 1 GB
+// premapped hits, a daemon splitting chunks mid-alloc, churn capacity
+// pressure, and sampled mode.
+func TestBatchedAllocMatchesPerPage(t *testing.T) {
+	var pairs [][2]string
+	for _, name := range []string{
+		"A/UA.B/Linux4K/analytic",
+		"A/UA.B/THP/analytic",
+		"B/CG.D/HugeTLB1G/analytic",
+		"B/CG.D/CarrefourLP/analytic",
+		"A/churn.eq/THP/analytic",
+		"A/SSCA.20/Linux4K/sampled",
+		"B/SPECjbb/THP/sampled",
+	} {
+		pairs = append(pairs, [2]string{name, name})
+	}
+	runCells(t, pairs)
+}
+
+// TestResultIdenticalAcrossWorkerCounts selects the parallel-pricing
+// cells (DESIGN.md §4.6) that runcache's exclusion of Config.Workers
+// and Pool from cell addresses rests on: every pipeline on A/UA.B, two
+// on the 64-thread B/CG.D path, and three on each event timeline, in
+// both pricing modes.
+func TestResultIdenticalAcrossWorkerCounts(t *testing.T) {
+	var pairs [][2]string
+	add := func(machine, workload string, pols ...string) {
+		for _, pol := range pols {
+			for _, mode := range []sim.Mode{sim.ModeSampled, sim.ModeAnalytic} {
+				name := machine + "/" + workload + "/" + pol + "/" + mode.String()
+				pairs = append(pairs, [2]string{name, name})
+			}
+		}
+	}
+	add("A", "UA.B", policy.Names()...)
+	add("B", "CG.D", "THP", "TridentLP")
+	for _, spec := range []workloads.Spec{churnTimeline(), shiftFreeTimeline()} {
+		add("A", spec.Name, "THP", "CarrefourLP", "TridentLP")
+	}
+	runCells(t, pairs)
 }
